@@ -70,7 +70,7 @@ fn mix_str(acc: u64, s: &str) -> u64 {
 /// knob that can change the verdict or the logical metrics (solver
 /// limits, SBIF options, certify mode, schema versions …); callers are
 /// expected to build it once per flow and keep it stable. The key is
-/// independent of `--jobs`, of dead logic, and of gate numbering — it
+/// independent of dead logic and of gate numbering — it
 /// depends only on the computed output functions, the named interface,
 /// C, and the fingerprint.
 pub fn design_digest(nl: &Netlist, constraint: Option<Sig>, fingerprint: &str) -> DesignDigest {

@@ -24,7 +24,7 @@
 //! **Determinism contract:** the whole pipeline is single-threaded and
 //! derives only from `(netlist, config)`, so the database, its
 //! [`AnalysisDb::to_json`] dump and all counters are byte-identical
-//! across runs, machines and `--jobs` values.
+//! across runs and machines.
 //!
 //! [`lint::findings`] turns the database into the warning set behind
 //! `sbif-lint`.

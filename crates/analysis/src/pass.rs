@@ -4,8 +4,8 @@
 //! the [`AnalysisDb`] and appends its own. Passes run in a fixed order
 //! on one thread and derive everything from `(netlist, config)`, so the
 //! database — and every `analysis.*` counter — is byte-identical across
-//! runs and `--jobs` values (the same determinism contract the SBIF
-//! commit path obeys, DESIGN.md §12/§14).
+//! runs (the same determinism contract the SBIF scan obeys, DESIGN.md
+//! §12/§14).
 
 use crate::db::AnalysisDb;
 use crate::signature;

@@ -3,7 +3,7 @@
 
 use sbif_bench::harness::Harness;
 use sbif_core::rewrite::{BackwardRewriter, RewriteConfig};
-use sbif_core::sbif::{divider_sim_words, forward_information, SbifConfig};
+use sbif_core::sbif::{divider_sim_words, forward_information, SbifConfig, SbifOptions};
 use sbif_core::spec::divider_spec;
 use sbif_netlist::build::nonrestoring_divider;
 
@@ -32,6 +32,7 @@ fn bench_rewrite(c: &mut Harness) {
             Some(div.constraint),
             &sim,
             SbifConfig::default(),
+            SbifOptions::default(),
         );
         c.bench_function(&format!("rewrite_sbif_n{n}"), |b| {
             b.iter(|| {

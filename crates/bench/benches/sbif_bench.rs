@@ -14,7 +14,7 @@
 
 use sbif_bench::bench_json;
 use sbif_bench::harness::Harness;
-use sbif_core::sbif::{divider_sim_words, forward_information, SbifConfig};
+use sbif_core::sbif::{divider_sim_words, forward_information, SbifConfig, SbifOptions};
 use sbif_netlist::build::nonrestoring_divider;
 use sbif_trace::json::Value;
 use std::collections::BTreeMap;
@@ -30,6 +30,7 @@ fn bench_sbif(c: &mut Harness) {
                     Some(div.constraint),
                     &sim,
                     SbifConfig::default(),
+                    SbifOptions::default(),
                 );
                 assert!(stats.proven > 0);
                 std::hint::black_box(classes);
@@ -55,6 +56,7 @@ fn write_det_artifact() {
             Some(div.constraint),
             &sim,
             SbifConfig::default(),
+            SbifOptions::default(),
         );
         let key = |metric: &str| format!("n{n}.{metric}");
         det.insert(key("candidates"), Value::Int(stats.candidates as i64));
@@ -66,16 +68,11 @@ fn write_det_artifact() {
             key("propagations"),
             Value::Int(stats.solver.propagations as i64),
         );
-        // The level-barrier dispatch contract (DESIGN.md §7): nearly
-        // every speculative check commits, and the shared batch solvers
+        // The batched scan (DESIGN.md §7): the shared batch solvers
         // amortize their setup over many windows. Pinned here so a
-        // scheduling regression shows up as a baseline diff, not just a
+        // batching regression shows up as a baseline diff, not just a
         // timing wobble.
-        let permille =
-            if stats.spec_attempts > 0 { stats.spec_hits * 1000 / stats.spec_attempts } else { 0 };
-        det.insert(key("spec_hit_permille"), Value::Int(permille as i64));
         det.insert(key("solver_inits"), Value::Int(stats.solver_inits as i64));
-        det.insert(key("batch_checks"), Value::Int(stats.batch_checks as i64));
     }
     // The cache-key contract: canonical digests are deterministic
     // across machines and runs, so they can be pinned like any other

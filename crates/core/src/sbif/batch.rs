@@ -1,7 +1,7 @@
-//! Batched window checking: sibling checks of one dispatch batch share
-//! a single incremental SAT solver (DESIGN.md §7).
+//! Batched window checking: sibling checks of one scan batch share a
+//! single incremental SAT solver (DESIGN.md §7).
 //!
-//! Per-window solver construction dominated the parallel scan's cost:
+//! Per-window solver construction dominated the scan's cost:
 //! every check re-encoded the constraint cone `C` and rebuilt solver
 //! state from scratch, although sibling windows of one batch overlap
 //! heavily. [`WindowBatch`] amortizes that setup:
@@ -31,11 +31,11 @@
 //! earlier check may be stale. The per-check `encoded` set mirrors the
 //! fresh path's exactly.
 
-use super::{encode_window, EquivClasses, RepTouch, SbifConfig, WindowOutcome};
+use super::{encode_window, EquivClasses, SbifConfig, WindowOutcome};
 use sbif_netlist::{Netlist, Sig};
-use sbif_sat::{Budget, Lit, NetlistEncoder, SolveResult, Solver, SolverStats};
+use sbif_sat::{Budget, Lit, NetlistEncoder, SolveResult, Solver};
 
-/// A shared incremental solver for the window checks of one dispatch
+/// A shared incremental solver for the window checks of one scan
 /// batch. Construction is free; the solver and the `C`-cone encoding
 /// are built lazily on the first [`check`](Self::check), so batches
 /// whose candidates are all prefiltered never pay for one
@@ -46,7 +46,6 @@ pub struct WindowBatch<'a> {
     cfg: SbifConfig,
     shared: Option<Shared>,
     inits: usize,
-    checks: usize,
     last_guard: Option<Lit>,
 }
 
@@ -65,7 +64,6 @@ impl<'a> WindowBatch<'a> {
             cfg: *cfg,
             shared: None,
             inits: 0,
-            checks: 0,
             last_guard: None,
         }
     }
@@ -77,8 +75,7 @@ impl<'a> WindowBatch<'a> {
     /// proof can be logged: certified runs use fresh per-window solvers.
     ///
     /// The returned outcome's [`solver`](WindowOutcome::solver) field
-    /// holds this check's *delta* of the shared counters; the batch
-    /// total is available as [`stats`](Self::stats).
+    /// holds this check's *delta* of the shared counters.
     pub fn check(
         &mut self,
         classes: &EquivClasses,
@@ -99,12 +96,10 @@ impl<'a> WindowBatch<'a> {
             }
             Shared { solver, enc }
         });
-        self.checks += 1;
         let (solver, enc) = (&mut shared.solver, &mut shared.enc);
         let before = solver.stats();
         let g = solver.new_activation();
         self.last_guard = Some(g);
-        let mut touched: Vec<RepTouch> = Vec::new();
         // The per-check `encoded` set deliberately ignores the shared
         // `C`-cone marks: the fresh path re-encodes window∩cone gates
         // too, and the guarded copies keep the clause structure (and so
@@ -117,7 +112,6 @@ impl<'a> WindowBatch<'a> {
                 solver,
                 enc,
                 &mut encoded,
-                &mut touched,
                 root,
                 self.cfg.window_depth,
                 Some(g),
@@ -141,11 +135,8 @@ impl<'a> WindowBatch<'a> {
                 .collect()
         });
         solver.retire_activation(g);
-        touched.sort_unstable_by_key(|&(s, r, p)| (s.0, r.0, p));
-        touched.dedup();
         WindowOutcome {
             result,
-            touched,
             cex,
             cert: None,
             solver: solver.stats().since(&before),
@@ -156,19 +147,6 @@ impl<'a> WindowBatch<'a> {
     /// How many shared solvers were actually built (0 or 1).
     pub fn solver_inits(&self) -> usize {
         self.inits
-    }
-
-    /// How many checks ran on the shared solver.
-    pub fn checks(&self) -> usize {
-        self.checks
-    }
-
-    /// The shared solver's cumulative counters — the batch's
-    /// contribution to the commit-side ledger (attributed per batch, not
-    /// per check, so governed conflict budgets stay deterministic for
-    /// any worker count).
-    pub fn stats(&self) -> SolverStats {
-        self.shared.as_ref().map(|s| s.solver.stats()).unwrap_or_default()
     }
 
     /// Test-only sabotage hook: permanently *asserts* the last check's

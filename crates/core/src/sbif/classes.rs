@@ -131,8 +131,8 @@ impl EquivClasses {
     /// Histogram of non-singleton class sizes: `size → how many classes
     /// have that many members` (the representative counts as a member,
     /// so every listed size is ≥ 2). Deterministic: class structure only
-    /// depends on the union sequence, which the SBIF commit replays in
-    /// sequential order for every `jobs` value.
+    /// depends on the union sequence, which the SBIF scan makes in a
+    /// fixed order.
     pub fn size_histogram(&self) -> std::collections::BTreeMap<usize, usize> {
         let mut sizes: std::collections::BTreeMap<u32, usize> =
             std::collections::BTreeMap::new();

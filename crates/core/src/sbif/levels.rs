@@ -1,13 +1,10 @@
 //! Level-major scheduling of the SBIF scan (DESIGN.md §7).
 //!
 //! The paper's Alg. 1 only requires the signals to be visited in *a*
-//! topological order; the netlist's creation order is one, but a poor
-//! one for speculation: a window around signal `s` reads the class
-//! representatives of `s`'s near fanins, which in creation order sit
-//! only a few dozen indices back — right inside the in-flight pipeline
-//! of any parallel scan. Sorting the scan by **topological level**
+//! topological order. The scan sorts them by **topological level**
 //! (ties broken by index, so the order stays deterministic and
-//! topological) turns that locality into a guarantee: every
+//! topological), which gives every level a boundary at which buffered
+//! counterexamples can be folded into the signatures: every
 //! representative a level-`L` window can touch belongs to a signal at a
 //! strictly lower level, because
 //!
@@ -15,33 +12,18 @@
 //!   decrease, and
 //! * under a level-major scan a class representative never sits at a
 //!   higher level than the class member it stands for *while that
-//!   member's level is still being scanned* (merges at later levels can
-//!   steal representatives, but those commits happen after the level is
-//!   done).
+//!   member's level is still being scanned*.
 //!
 //! The schedule groups the order into **batches** — contiguous runs of
-//! whole levels with at least [`SbifConfig::batch_signals`](super::SbifConfig::batch_signals)
-//! signals, the lifetime unit of the shared incremental window solvers
-//! and of solver-stat attribution. Within one level the signals'
-//! candidate scans are distributed round-robin over [`LANES`] fixed
-//! lanes, each owning one shared solver for the batch. The partition
-//! depends only on the netlist and the configuration, never on the
-//! worker count, which is what keeps every statistic of the batched
-//! scan byte-identical for any `--jobs`.
+//! whole levels with at least a given number of signals, the lifetime
+//! unit of the shared incremental window solver. The partition depends
+//! only on the netlist and the batch size.
 
 use sbif_netlist::{Netlist, Sig};
 use std::ops::Range;
 
-/// Speculation lanes per level: signal `order[p]` is scanned by lane
-/// `p % LANES`, and each lane owns one shared incremental solver per
-/// batch. A constant (not `jobs`) so every lane's check sequence — and
-/// with it every speculative verdict and solver counter — is identical
-/// for any worker count; `jobs` only sets how many OS threads drain the
-/// lanes.
-pub const LANES: usize = 8;
-
-/// The fixed dispatch geometry of one SBIF run: level-major scan order,
-/// level-aligned batch partition, and wave grouping. See the
+/// The fixed geometry of one SBIF scan: level-major scan order and
+/// level-aligned batch partition. See the
 /// [module docs](self).
 #[derive(Debug, Clone)]
 pub struct LevelSchedule {
@@ -144,7 +126,7 @@ impl LevelSchedule {
     }
 
     /// Splits a range of scan positions at its level boundaries — the
-    /// commit's refinement-flush points.
+    /// scan's refinement-flush points.
     pub fn level_runs(&self, r: Range<usize>) -> impl Iterator<Item = Range<usize>> + '_ {
         let mut at = r.start;
         std::iter::from_fn(move || {

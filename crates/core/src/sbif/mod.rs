@@ -21,7 +21,7 @@
 pub mod batch;
 mod classes;
 pub mod levels;
-mod parallel;
+mod scan;
 mod sim;
 
 pub use batch::WindowBatch;
@@ -46,10 +46,9 @@ pub struct SbifConfig {
     /// How many distinct candidate partners to try per signal before
     /// giving up on it.
     pub max_candidates: usize,
-    /// Worker threads for the window checks. `1` runs fully in-process;
-    /// any value produces bit-identical classes (see [`parallel`]'s
-    /// module documentation — checks are speculated on worker threads
-    /// and committed in the sequential order).
+    /// Not read by the engine: the scan is sequential (see [`scan`]'s
+    /// module documentation). Kept so existing configurations that set
+    /// it still compile; cache keys normalize it away.
     pub jobs: usize,
     /// Number of window counterexamples buffered before they are folded
     /// into the simulation signatures as a refinement word, splitting
@@ -60,14 +59,6 @@ pub struct SbifConfig {
     /// only committed if its certificate is accepted; results are
     /// recorded in [`SbifStats::cert`].
     pub certify: bool,
-    /// Minimum signals per dispatch batch of the level scheduler (see
-    /// [`levels::LevelSchedule`]): consecutive whole levels are grouped
-    /// until at least this many signals accumulate, and each batch's
-    /// window checks share one incremental solver. Part of the dispatch
-    /// geometry — like every field here it must not vary with `jobs`,
-    /// or the per-batch solver statistics would stop being
-    /// jobs-invariant.
-    pub batch_signals: usize,
 }
 
 impl Default for SbifConfig {
@@ -79,7 +70,6 @@ impl Default for SbifConfig {
             jobs: 1,
             cex_flush: 64,
             certify: false,
-            batch_signals: 128,
         }
     }
 }
@@ -105,32 +95,22 @@ pub struct SbifStats {
     /// buffered SAT models were simulated and the candidate buckets
     /// rebuilt.
     pub refinements: usize,
-    /// Speculative checks whose results the deterministic commit could
-    /// not reuse (`spec_attempts − spec_hits`). Every batch runs the
-    /// same speculative scan regardless of `jobs` — including the
-    /// single-worker run — so unlike the old pipelined engine this is a
-    /// deterministic, jobs-invariant number.
-    pub wasted_checks: usize,
-    /// Wall-clock microseconds spent inside SAT checks, summed over all
-    /// worker threads.
+    /// Wall-clock microseconds spent inside window checks.
     pub sat_micros: u128,
-    /// DRAT certificate statistics over the UNSAT window checks the
-    /// commit relied on (all zero unless [`SbifConfig::certify`] is set).
+    /// DRAT certificate statistics over the UNSAT window checks (all
+    /// zero unless [`SbifConfig::certify`] is set).
     pub cert: CertStats,
-    /// CDCL solver effort totalled over the window checks the commit
-    /// relied on. Recorded commit-side only: each check's counters are a
-    /// pure function of its CNF encoding (itself a pure function of the
-    /// touch log), so the totals are identical for every `jobs` value —
-    /// unlike [`wasted_checks`](Self::wasted_checks) and
-    /// [`sat_micros`](Self::sat_micros), these belong in the
+    /// CDCL solver effort totalled over the window checks, charged per
+    /// check (for a shared [`WindowBatch`] solver: the check's delta).
+    /// The scan is deterministic, so unlike
+    /// [`sat_micros`](Self::sat_micros) these belong in the
     /// deterministic metrics report.
     pub solver: SolverStats,
     /// `true` when a governed run stopped scanning candidates because
-    /// the cumulative committed solver-conflict ledger reached its
-    /// budget ([`SbifGovernor::conflict_budget`]). The classes found up
-    /// to the cut are sound and committed; the flag is deterministic —
-    /// the ledger is accounted commit-side, so the cut happens at the
-    /// same signal for every `jobs` value.
+    /// the cumulative solver-conflict ledger reached its budget
+    /// ([`SbifGovernor::conflict_budget`]). The classes found up to the
+    /// cut are sound; the cut is deterministic, because the budget is
+    /// polled before every window check.
     pub exhausted: bool,
     /// `true` when the wall-clock watchdog cancelled the scan. Unlike
     /// [`exhausted`](Self::exhausted) this is *not* reproducible; a
@@ -146,27 +126,14 @@ pub struct SbifStats {
     /// Candidate pairs refuted by the shadow simulation signatures with
     /// no solver built.
     pub prefilter_refuted: usize,
-    /// Topological levels of the scanned netlist — the granularity of
-    /// the barrier scheduler (see [`levels::LevelSchedule`]).
+    /// Topological levels of the scanned netlist — the scan's
+    /// refinement-flush granularity (see [`levels::LevelSchedule`]).
     pub levels: usize,
-    /// Speculative candidate checks executed by the batch runners. The
-    /// batch partition and every batch's input are fixed by the schedule
-    /// (never by `jobs`), so this is deterministic.
-    pub spec_attempts: usize,
-    /// Speculative checks the deterministic commit reused (touch set
-    /// still valid). The speculation *hit rate* is
-    /// `spec_hits / spec_attempts`.
-    pub spec_hits: usize,
-    /// Shared incremental solvers built by the batch runners — at most
-    /// one per batch, so ≥ 10× fewer than
-    /// [`windows_solved`](Self::windows_solved) on the divider
-    /// workloads. Commit-side fresh re-checks (speculation misses) build
-    /// per-window solvers that are *not* counted here.
+    /// Shared incremental batch solvers built — at most one per batch,
+    /// so far fewer than [`windows_solved`](Self::windows_solved) on the
+    /// divider workloads. The fresh per-window solvers of certified runs
+    /// are *not* counted here.
     pub solver_inits: usize,
-    /// Window checks served by a shared batch solver (speculative side;
-    /// the commit-side equivalent is
-    /// [`windows_solved`](Self::windows_solved)).
-    pub batch_checks: usize,
 }
 
 /// How the prefilter decided a candidate pair without a solver.
@@ -226,7 +193,8 @@ impl SbifPrefilter {
     }
 
     /// Tries to decide the candidate `(a, b, ε)` without a solver;
-    /// `None` falls through to [`check_window_pair`]'s CNF encoding.
+    /// `None` falls through to a window solver (batched, or fresh under
+    /// `certify`).
     ///
     /// Structural proofs are skipped under `certify` — a prefiltered
     /// merge carries no DRAT certificate, and a certified run promises
@@ -242,9 +210,8 @@ impl SbifPrefilter {
         certify: bool,
     ) -> Option<WindowOutcome> {
         if !certify {
-            let mut touched: Vec<RepTouch> = Vec::new();
-            let ca = canon_of(nl.gate(a), |s| rep_logged(classes, &mut touched, s));
-            let cb = canon_of(nl.gate(b), |s| rep_logged(classes, &mut touched, s));
+            let ca = canon_of(nl.gate(a), |s| classes.rep(s));
+            let cb = canon_of(nl.gate(b), |s| classes.rep(s));
             // Forced relation a = b ^ anti, when the forms expose one.
             // Besides identical shapes, `a` may alias `b` directly: the
             // window maps `a`'s fanin to its representative, and when
@@ -265,11 +232,8 @@ impl SbifPrefilter {
                 // contradict a fact that holds under C — impossible with
                 // C-satisfying stimulus — so fall through defensively.
                 if anti != same_polarity {
-                    touched.sort_unstable_by_key(|&(s, r, p)| (s.0, r.0, p));
-                    touched.dedup();
                     return Some(WindowOutcome {
                         result: SolveResult::Unsat,
-                        touched,
                         cex: None,
                         cert: None,
                         solver: SolverStats::default(),
@@ -278,8 +242,7 @@ impl SbifPrefilter {
                 }
             }
         }
-        // Shadow-signature refutation: a pure function of `(a, b, ε)` —
-        // the empty touch log makes cached outcomes always reusable.
+        // Shadow-signature refutation: a pure function of `(a, b, ε)`.
         let (sa, sb) = (self.shadow.get(a.index())?, self.shadow.get(b.index())?);
         for (w, (&wa, &wb)) in sa.iter().zip(sb).enumerate() {
             let mismatch = if same_polarity { wa ^ wb } else { !(wa ^ wb) };
@@ -288,7 +251,6 @@ impl SbifPrefilter {
                 let cex = self.planes.iter().map(|p| (p[w] >> k) & 1 == 1).collect();
                 return Some(WindowOutcome {
                     result: SolveResult::Sat,
-                    touched: Vec::new(),
                     cex: Some(cex),
                     cert: None,
                     solver: SolverStats::default(),
@@ -298,6 +260,21 @@ impl SbifPrefilter {
         }
         None
     }
+}
+
+/// Optional hooks of an Alg. 1 run; the default runs the plain scan.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SbifOptions<'a> {
+    /// Static-analysis prefilter: candidate pairs it decides never build
+    /// a window solver, and — when it carries a cone mask — dead signals
+    /// are skipped entirely (this changes how the scan spends its
+    /// candidate slots, so only the maskless prefilter guarantees
+    /// classes identical to the plain run).
+    pub prefilter: Option<&'a SbifPrefilter>,
+    /// Conflict budget and cancel token: the scan stops early when the
+    /// budget is exhausted (deterministically — see
+    /// [`SbifStats::exhausted`]) or the cancel token fires.
+    pub governor: Option<&'a SbifGovernor>,
 }
 
 /// Runs Alg. 1: partitions the signals of `nl` into equivalence classes
@@ -311,13 +288,18 @@ impl SbifPrefilter {
 /// # Examples
 ///
 /// ```
-/// use sbif_core::sbif::{divider_sim_words, forward_information, SbifConfig};
+/// use sbif_core::sbif::{divider_sim_words, forward_information, SbifConfig, SbifOptions};
 /// use sbif_netlist::build::nonrestoring_divider;
 ///
 /// let div = nonrestoring_divider(3);
 /// let sim = divider_sim_words(&div, 1, 2);
-/// let (classes, stats) =
-///     forward_information(&div.netlist, Some(div.constraint), &sim, SbifConfig::default());
+/// let (classes, stats) = forward_information(
+///     &div.netlist,
+///     Some(div.constraint),
+///     &sim,
+///     SbifConfig::default(),
+///     SbifOptions::default(),
+/// );
 /// assert!(stats.proven > 0);
 /// // The paper's key fact: each quotient bit is antivalent to the sign
 /// // bit of its stage's partial remainder.
@@ -334,22 +316,7 @@ pub fn forward_information(
     constraint: Option<Sig>,
     sim_words: &[Vec<u64>],
     cfg: SbifConfig,
-) -> (EquivClasses, SbifStats) {
-    forward_information_with(nl, constraint, sim_words, cfg, None)
-}
-
-/// [`forward_information`] with a static-analysis prefilter: candidate
-/// pairs the [`SbifPrefilter`] decides never build a window solver, and
-/// — when a cone mask is supplied — dead signals are skipped entirely
-/// (this changes how the scan spends its candidate slots, so only the
-/// maskless prefilter guarantees classes identical to the plain run).
-/// Passing `None` is exactly the plain entry point.
-pub fn forward_information_with(
-    nl: &Netlist,
-    constraint: Option<Sig>,
-    sim_words: &[Vec<u64>],
-    cfg: SbifConfig,
-    prefilter: Option<&SbifPrefilter>,
+    opts: SbifOptions<'_>,
 ) -> (EquivClasses, SbifStats) {
     let num_words = sim_words.first().map_or(0, |v| v.len());
 
@@ -363,59 +330,24 @@ pub fn forward_information_with(
         }
     }
 
-    // Lines 5–11: candidate detection and window checking, fanned out
-    // over `cfg.jobs` workers with a deterministic sequential commit.
-    parallel::run(nl, constraint, signatures, &cfg, prefilter, None)
+    // Lines 5–11: candidate detection and window checking.
+    scan::run(nl, constraint, signatures, &cfg, opts)
 }
 
 /// Governed-run hooks for Alg. 1 (DESIGN.md §16): a cumulative budget
-/// on the *committed* solver-conflict ledger, and the wall-clock
-/// watchdog's cancel token. Both are polled at the sequential commit
-/// boundary — the budget before the cancel flag, so a deterministic
-/// exhaustion always wins over a racing cancellation.
+/// on the solver-conflict ledger, and the wall-clock watchdog's cancel
+/// token. Both are polled before every window check — the budget before
+/// the cancel flag, so a deterministic exhaustion always wins over a
+/// racing cancellation.
 #[derive(Debug, Clone, Default)]
 pub struct SbifGovernor {
-    /// Stop scanning further signals once the commit-side conflict
-    /// total ([`SbifStats::solver`]) reaches this. Partial classes are
-    /// always sound (fewer merges, never wrong ones).
+    /// Stop scanning once the conflict total ([`SbifStats::solver`])
+    /// reaches this. A check in flight finishes, so the total stops
+    /// below `budget + sat_conflicts`. Partial classes are always sound
+    /// (fewer merges, never wrong ones).
     pub conflict_budget: Option<u64>,
     /// Cooperative cancellation (sets [`SbifStats::cancelled`]).
     pub cancel: Option<sbif_govern::CancelToken>,
-}
-
-/// [`forward_information_with`] under a [`SbifGovernor`]: the scan
-/// stops early when the conflict budget is exhausted (deterministically
-/// — see [`SbifStats::exhausted`]) or the cancel token fires.
-pub fn forward_information_governed(
-    nl: &Netlist,
-    constraint: Option<Sig>,
-    sim_words: &[Vec<u64>],
-    cfg: SbifConfig,
-    prefilter: Option<&SbifPrefilter>,
-    governor: &SbifGovernor,
-) -> (EquivClasses, SbifStats) {
-    let num_words = sim_words.first().map_or(0, |v| v.len());
-    let mut signatures: Vec<Vec<u64>> = vec![Vec::new(); nl.num_signals()];
-    for w in 0..num_words {
-        let plane: Vec<u64> = sim_words.iter().map(|v| v[w]).collect();
-        let vals = nl.simulate64(&plane);
-        for (s, &v) in vals.iter().enumerate() {
-            signatures[s].push(v);
-        }
-    }
-    parallel::run(nl, constraint, signatures, &cfg, prefilter, Some(governor))
-}
-
-/// A `rep()` answer an encoding depended on: `(queried, representative,
-/// polarity)`. The parallel commit replays these to decide whether a
-/// speculative result is still valid.
-pub type RepTouch = (Sig, Sig, bool);
-
-/// The representative of `s`, recorded in the touch log.
-fn rep_logged(classes: &EquivClasses, touched: &mut Vec<RepTouch>, s: Sig) -> (Sig, bool) {
-    let (r, p) = classes.rep(s);
-    touched.push((s, r, p));
-    (r, p)
 }
 
 /// One windowed SAT check (line 10 of Alg. 1):
@@ -427,22 +359,16 @@ fn rep_logged(classes: &EquivClasses, touched: &mut Vec<RepTouch>, s: Sig) -> (S
 /// keeps UNSAT answers sound. The constraint cone is encoded over the
 /// original gates.
 ///
-/// Returns the solver verdict, the touch log (every representative the
-/// encoding depended on — the encoding, and hence the verdict and model,
-/// is a pure function of it), for SAT verdicts the primary-input
+/// Returns the solver verdict, for SAT verdicts the primary-input
 /// counterexample, and with [`SbifConfig::certify`] the DRAT-check
-/// outcome of every UNSAT verdict. Because the encoding is a pure
-/// function of the touch log, so is the logged proof — a cached result
-/// replayed by the deterministic commit carries the same certificate.
-/// The same argument covers the solver counters: the CDCL run is
-/// deterministic (conflict budget, no wall-clock cutoffs), so the
-/// returned [`SolverStats`] are reproducible per touch log.
+/// outcome of every UNSAT verdict.
 ///
-/// Public as the reference oracle for the batched path: a
-/// [`WindowBatch`] check of the same `(a, b, ε)` over the same classes
-/// must return the same verdict (the differential property suite in
-/// `tests/parallel_levels.rs` enforces this on random netlists).
-#[allow(clippy::too_many_arguments)]
+/// Each call builds a fresh solver. Certified scans use it for every
+/// window (each check logs its own proof); it is also the reference
+/// oracle for the batched path: a [`WindowBatch`] check of the same
+/// `(a, b, ε)` over the same classes must return the same verdict (the
+/// differential property suite in `tests/parallel_levels.rs` enforces
+/// this on random netlists).
 pub fn check_window_pair(
     nl: &Netlist,
     classes: &EquivClasses,
@@ -451,19 +377,12 @@ pub fn check_window_pair(
     b: Sig,
     same_polarity: bool,
     cfg: &SbifConfig,
-    prefilter: Option<&SbifPrefilter>,
 ) -> WindowOutcome {
-    if let Some(p) = prefilter {
-        if let Some(outcome) = p.try_decide(nl, classes, a, b, same_polarity, cfg.certify) {
-            return outcome;
-        }
-    }
     let mut solver = Solver::new();
     if cfg.certify {
         solver.enable_proof_log();
     }
     let mut enc = NetlistEncoder::new(nl);
-    let mut touched: Vec<RepTouch> = Vec::new();
     if let Some(c) = constraint {
         enc.encode_cone(&mut solver, nl, c);
         let lc = enc.lit(&mut solver, c);
@@ -478,7 +397,6 @@ pub fn check_window_pair(
             &mut solver,
             &mut enc,
             &mut encoded,
-            &mut touched,
             root,
             cfg.window_depth,
             None,
@@ -503,23 +421,17 @@ pub fn check_window_pair(
             })
             .collect()
     });
-    touched.sort_unstable_by_key(|&(s, r, p)| (s.0, r.0, p));
-    touched.dedup();
     let cert =
         (cfg.certify && result == SolveResult::Unsat).then(|| certify_solver_unsat(&solver));
-    WindowOutcome { result, touched, cex, cert, solver: solver.stats(), prefiltered: None }
+    WindowOutcome { result, cex, cert, solver: solver.stats(), prefiltered: None }
 }
 
-/// Everything one windowed SAT check produced — all of it a pure
-/// function of `(a, b, ε)` and the touch log (see
-/// [`check_window_pair`]), which is what lets the parallel commit reuse
-/// speculative outcomes without perturbing any statistic.
+/// Everything one windowed SAT check produced (see
+/// [`check_window_pair`]).
 #[derive(Debug, Clone)]
 pub struct WindowOutcome {
     /// The solver verdict.
     pub result: SolveResult,
-    /// Every `rep()` answer the encoding depended on.
-    pub touched: Vec<RepTouch>,
     /// Primary-input counterexample for SAT verdicts.
     pub cex: Option<Vec<bool>>,
     /// DRAT-check outcome for certified UNSAT verdicts.
@@ -579,7 +491,6 @@ fn encode_window(
     solver: &mut Solver,
     enc: &mut NetlistEncoder,
     encoded: &mut std::collections::HashSet<Sig>,
-    touched: &mut Vec<RepTouch>,
     root: Sig,
     depth: usize,
     guard: Option<Lit>,
@@ -596,7 +507,7 @@ fn encode_window(
                 emit_clause(solver, guard, [if v { out } else { !out }]);
             }
             Gate::Unary(op, x) => {
-                let lx = mapped_lit(classes, solver, enc, touched, x);
+                let lx = mapped_lit(classes, solver, enc, x);
                 let rhs = match op {
                     sbif_netlist::UnaryOp::Buf => lx,
                     sbif_netlist::UnaryOp::Not => !lx,
@@ -604,16 +515,16 @@ fn encode_window(
                 emit_clause(solver, guard, [!out, rhs]);
                 emit_clause(solver, guard, [out, !rhs]);
                 if d < depth {
-                    queue.push((rep_logged(classes, touched, x).0, d + 1));
+                    queue.push((classes.rep(x).0, d + 1));
                 }
             }
             Gate::Binary(op, x, y) => {
-                let lx = mapped_lit(classes, solver, enc, touched, x);
-                let ly = mapped_lit(classes, solver, enc, touched, y);
+                let lx = mapped_lit(classes, solver, enc, x);
+                let ly = mapped_lit(classes, solver, enc, y);
                 add_binop_clauses(solver, guard, op, out, lx, ly);
                 if d < depth {
-                    queue.push((rep_logged(classes, touched, x).0, d + 1));
-                    queue.push((rep_logged(classes, touched, y).0, d + 1));
+                    queue.push((classes.rep(x).0, d + 1));
+                    queue.push((classes.rep(y).0, d + 1));
                 }
             }
         }
@@ -622,14 +533,8 @@ fn encode_window(
 
 /// The literal of `rep(s)`, negated when `s` is antivalent to its
 /// representative.
-fn mapped_lit(
-    classes: &EquivClasses,
-    solver: &mut Solver,
-    enc: &mut NetlistEncoder,
-    touched: &mut Vec<RepTouch>,
-    s: Sig,
-) -> Lit {
-    let (r, neg) = rep_logged(classes, touched, s);
+fn mapped_lit(classes: &EquivClasses, solver: &mut Solver, enc: &mut NetlistEncoder, s: Sig) -> Lit {
+    let (r, neg) = classes.rep(s);
     let l = enc.lit(solver, r);
     if neg {
         !l
@@ -673,7 +578,18 @@ fn add_binop_clauses(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sbif_netlist::build::nonrestoring_divider;
+    use sbif_netlist::build::{
+        array_divider, nonrestoring_divider, restoring_divider, srt_divider,
+    };
+
+    fn plain(
+        nl: &Netlist,
+        constraint: Option<Sig>,
+        sim: &[Vec<u64>],
+        cfg: SbifConfig,
+    ) -> (EquivClasses, SbifStats) {
+        forward_information(nl, constraint, sim, cfg, SbifOptions::default())
+    }
 
     /// All class facts must hold on every valid input (soundness of the
     /// whole Alg. 1 pipeline).
@@ -682,7 +598,7 @@ mod tests {
         for n in [2usize, 3, 4] {
             let div = nonrestoring_divider(n);
             let sim = divider_sim_words(&div, 3, 2);
-            let (classes, _) = forward_information(
+            let (classes, _) = plain(
                 &div.netlist,
                 Some(div.constraint),
                 &sim,
@@ -722,7 +638,7 @@ mod tests {
     fn quotient_sign_antivalences_found() {
         let div = nonrestoring_divider(5);
         let sim = divider_sim_words(&div, 11, 2);
-        let (classes, stats) = forward_information(
+        let (classes, stats) = plain(
             &div.netlist,
             Some(div.constraint),
             &sim,
@@ -743,7 +659,7 @@ mod tests {
         // ctrl_j = ¬sign_{j−1} — the fact that kills the overflow terms.
         let div = nonrestoring_divider(4);
         let sim = divider_sim_words(&div, 5, 2);
-        let (classes, _) = forward_information(
+        let (classes, _) = plain(
             &div.netlist,
             Some(div.constraint),
             &sim,
@@ -764,7 +680,7 @@ mod tests {
         // are the constants (they are created first).
         let div = nonrestoring_divider(2);
         let sim = divider_sim_words(&div, 17, 2);
-        let (classes, _) = forward_information(
+        let (classes, _) = plain(
             &div.netlist,
             Some(div.constraint),
             &sim,
@@ -787,7 +703,7 @@ mod tests {
         let sim: Vec<Vec<u64>> = (0..ni)
             .map(|i| vec![0x9E3779B97F4A7C15u64.rotate_left(7 * i as u32)])
             .collect();
-        let (classes, _) = forward_information(&div.netlist, None, &sim, SbifConfig::default());
+        let (classes, _) = plain(&div.netlist, None, &sim, SbifConfig::default());
         for bits in 0u64..(1 << ni) {
             let inputs: Vec<bool> = (0..ni).map(|i| (bits >> i) & 1 == 1).collect();
             let vals = div.netlist.simulate_bool(&inputs);
@@ -798,28 +714,42 @@ mod tests {
         }
     }
 
+    /// Certified scans check every window on a fresh proof-logging
+    /// solver, so this is a whole-run differential between the batched
+    /// and the fresh-solver paths: same classes, and every merge carries
+    /// exactly one accepted certificate.
     #[test]
     fn certified_run_checks_every_merge() {
-        let div = nonrestoring_divider(3);
-        let sim = divider_sim_words(&div, 7, 2);
-        let plain = SbifConfig::default();
-        let certified = SbifConfig { certify: true, ..plain };
-        let (classes_p, stats_p) =
-            forward_information(&div.netlist, Some(div.constraint), &sim, plain);
-        let (classes_c, stats_c) =
-            forward_information(&div.netlist, Some(div.constraint), &sim, certified);
-        // Every committed merge carries exactly one accepted certificate,
-        // and certification must not change what is proven.
-        assert_eq!(stats_c.cert.checked as usize, stats_c.proven);
-        assert!(stats_c.cert.all_accepted(), "rejected: {}", stats_c.cert.rejected);
-        assert!(stats_c.cert.checked > 0);
-        assert!(stats_c.cert.steps_used <= stats_c.cert.steps_logged);
-        assert_eq!(stats_p.proven, stats_c.proven);
-        for s in div.netlist.signals() {
-            assert_eq!(classes_p.rep(s), classes_c.rep(s));
+        let builders: [(&str, fn(usize) -> sbif_netlist::build::Divider); 4] = [
+            ("nonrestoring", nonrestoring_divider),
+            ("restoring", restoring_divider),
+            ("array", array_divider),
+            ("srt", srt_divider),
+        ];
+        for (arch, build) in builders {
+            for n in 4..=6 {
+                let div = build(n);
+                let sim = divider_sim_words(&div, 7, 2);
+                let batched = SbifConfig::default();
+                let fresh = SbifConfig { certify: true, ..batched };
+                let (classes_p, stats_p) =
+                    plain(&div.netlist, Some(div.constraint), &sim, batched);
+                let (classes_c, stats_c) = plain(&div.netlist, Some(div.constraint), &sim, fresh);
+                let label = format!("{arch} {n}");
+                assert_eq!(stats_c.cert.checked as usize, stats_c.proven, "{label}");
+                assert!(stats_c.cert.all_accepted(), "{label}: rejected {}", stats_c.cert.rejected);
+                assert!(stats_c.cert.checked > 0, "{label}");
+                assert!(stats_c.cert.steps_used <= stats_c.cert.steps_logged, "{label}");
+                assert_eq!(stats_p.proven, stats_c.proven, "{label}");
+                for s in div.netlist.signals() {
+                    assert_eq!(classes_p.rep(s), classes_c.rep(s), "{label}: {s}");
+                }
+                // The batched run logs nothing and builds no fresh solvers
+                // into its init count; the certified run uses none shared.
+                assert_eq!(stats_p.cert, sbif_check::CertStats::default(), "{label}");
+                assert_eq!(stats_c.solver_inits, 0, "{label}");
+            }
         }
-        // The plain run logs nothing.
-        assert_eq!(stats_p.cert, sbif_check::CertStats::default());
     }
 
     #[test]
@@ -831,8 +761,8 @@ mod tests {
         let sim = divider_sim_words(&div, 9, 2);
         let shallow = SbifConfig { window_depth: 0, ..SbifConfig::default() };
         let (_, s0) =
-            forward_information(&div.netlist, Some(div.constraint), &sim, shallow);
-        let (_, s4) = forward_information(
+            plain(&div.netlist, Some(div.constraint), &sim, shallow);
+        let (_, s4) = plain(
             &div.netlist,
             Some(div.constraint),
             &sim,

@@ -4,8 +4,8 @@
 use crate::error::VerifyError;
 use crate::rewrite::{BackwardRewriter, RewriteConfig, RewriteStats};
 use crate::sbif::{
-    certify_solver_unsat, forward_information_governed, try_divider_sim_words, EquivClasses,
-    SbifConfig, SbifGovernor, SbifPrefilter, SbifStats,
+    certify_solver_unsat, forward_information, try_divider_sim_words, EquivClasses, SbifConfig,
+    SbifGovernor, SbifOptions, SbifPrefilter, SbifStats,
 };
 use crate::spec::divider_spec;
 use crate::vc2::{check_vc2_governed, Vc2Config, Vc2Report};
@@ -170,8 +170,7 @@ pub struct VerificationReport {
     /// The deterministic metrics payload of the run: every counter and
     /// gauge the pipeline recorded, frozen by
     /// [`Recorder::finish`]. Byte-identical (via
-    /// [`MetricsReport::to_json`]) for every [`SbifConfig::jobs`] value
-    /// and across machines — wall-clock and speculation-dependent
+    /// [`MetricsReport::to_json`]) across runs and machines — wall-clock
     /// numbers live in the explicit `*_time` / [`SbifStats`] fields
     /// instead.
     pub metrics: MetricsReport,
@@ -494,7 +493,7 @@ impl<'a> DividerVerifier<'a> {
                 // pre-framework runs merged), and the verifier promises
                 // classes identical to the prefilter-free run. Callers
                 // that want the mask opt in through
-                // [`forward_information_with`] + `AnalysisDb::sbif_live_mask`.
+                // [`SbifOptions::prefilter`] + `AnalysisDb::sbif_live_mask`.
                 Some(SbifPrefilter {
                     shadow: db.shadow,
                     planes: db.shadow_planes,
@@ -507,20 +506,15 @@ impl<'a> DividerVerifier<'a> {
             let span = self.recorder.span("sbif");
             let sim = try_divider_sim_words(div, self.config.seed, self.config.sim_words)
                 .map_err(VerifyError::MalformedInterface)?;
-            // The governor's conflict budget is accounted commit-side
-            // (cumulative absorbed solver conflicts), so the cut lands
-            // on the same signal for every `--jobs` value. All-`None`
-            // governors poll nothing and change nothing.
+            // The governor's conflict budget is polled before every
+            // window check against the cumulative solver conflicts, so
+            // the cut is deterministic. All-`None` governors poll
+            // nothing and change nothing.
             let governor =
                 SbifGovernor { conflict_budget: g.sbif_conflicts, cancel: cancel.cloned() };
-            let (c, s) = forward_information_governed(
-                &div.netlist,
-                Some(div.constraint),
-                &sim,
-                sbif_cfg,
-                prefilter.as_ref(),
-                &governor,
-            );
+            let opts = SbifOptions { prefilter: prefilter.as_ref(), governor: Some(&governor) };
+            let (c, s) =
+                forward_information(&div.netlist, Some(div.constraint), &sim, sbif_cfg, opts);
             span.close();
             (Some(c), s)
         } else {
@@ -663,10 +657,7 @@ impl<'a> DividerVerifier<'a> {
 
     /// Records the deterministic vc1 metrics. Wall-clock numbers
     /// (`sat_micros`) are intentionally absent — they vary with the
-    /// machine, and the metrics payload must not. The speculation
-    /// counters *are* recorded: under the level-barrier engine the lane
-    /// schedule is a pure function of `(netlist, config)`, so attempts,
-    /// hits, and solver inits are byte-identical at any `--jobs`.
+    /// machine, and the metrics payload must not.
     fn record_vc1_metrics(&self, report: &Vc1Report, classes: Option<&EquivClasses>) {
         let r = &self.recorder;
         let s = &report.sbif;
@@ -680,13 +671,7 @@ impl<'a> DividerVerifier<'a> {
         r.add("sbif.unknown", s.unknown as u64);
         r.add("sbif.refinements", s.refinements as u64);
         r.add("sbif.level.count", s.levels as u64);
-        r.add("sbif.level.spec_attempts", s.spec_attempts as u64);
-        r.add("sbif.level.spec_hits", s.spec_hits as u64);
-        if let Some(permille) = (s.spec_hits * 1000).checked_div(s.spec_attempts) {
-            r.gauge_max("sbif.level.spec_hit_permille", permille as u64);
-        }
         r.add("sbif.batch.solver_inits", s.solver_inits as u64);
-        r.add("sbif.batch.checks", s.batch_checks as u64);
         r.add("sbif.sat.decisions", s.solver.decisions);
         r.add("sbif.sat.conflicts", s.solver.conflicts);
         r.add("sbif.sat.propagations", s.solver.propagations);

@@ -12,13 +12,13 @@
 //! # Determinism rules
 //!
 //! Budgets come in two kinds, and the distinction carries the repo's
-//! byte-identical `--jobs` contract:
+//! byte-identical metrics contract:
 //!
 //! * **Deterministic units** — SAT conflicts and propagations, BDD
 //!   live-node counts, rewrite term counts, SBIF windows, analysis pass
-//!   steps. These are accounted *commit-side* (scheduling-independent),
+//!   steps. These are accounted at fixed points (scheduling-independent),
 //!   so whether a budget trips, and the exact `spent` value it reports,
-//!   is identical for any worker count. Verdicts and `govern.*`
+//!   is identical run to run. Verdicts and `govern.*`
 //!   counters derived from them are cacheable.
 //! * **Wall clock** — the optional watchdog. It only ever *cancels*
 //!   (sets a [`CancelToken`] that engines poll cooperatively); it never
@@ -74,7 +74,7 @@ impl Resource {
     }
 
     /// `true` iff exhaustion of this resource is a scheduling-
-    /// independent fact (reproducible at any `--jobs`, cacheable).
+    /// independent fact (reproducible run to run, cacheable).
     pub fn deterministic(self) -> bool {
         !matches!(self, Resource::WallClock)
     }

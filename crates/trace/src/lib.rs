@@ -3,8 +3,7 @@
 //! The paper's whole evaluation is a set of per-phase metrics — SBIF
 //! #equivalences and window-SAT effort, rewriting peak term counts, vc2
 //! peak BDD nodes — and every performance PR needs those numbers to be
-//! *trustworthy*: reproducible across runs, machines and `--jobs`
-//! values. This crate provides the measurement substrate:
+//! *trustworthy*: reproducible across runs and machines. This crate provides the measurement substrate:
 //!
 //! * **Spans** ([`Recorder::span`]) — phase timers forming a tree. The
 //!   monotonic-clock wall time of a span is reported only on its

@@ -8,7 +8,7 @@
 //! Run with: `cargo run --release --example sbif_exploration [n]`
 
 use sbif::core::rewrite::{BackwardRewriter, RewriteConfig};
-use sbif::core::sbif::{divider_sim_words, forward_information, SbifConfig};
+use sbif::core::sbif::{divider_sim_words, forward_information, SbifConfig, SbifOptions};
 use sbif::core::spec::divider_spec;
 use sbif::prelude::*;
 
@@ -19,8 +19,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("Alg. 1 on the {n}-bit divider under C = (0 ≤ R⁰ < D·2^{}):", n - 1);
     let sim = divider_sim_words(&div, 42, 2);
-    let (classes, stats) =
-        forward_information(nl, Some(div.constraint), &sim, SbifConfig::default());
+    let (classes, stats) = forward_information(
+        nl,
+        Some(div.constraint),
+        &sim,
+        SbifConfig::default(),
+        SbifOptions::default(),
+    );
     println!(
         "  {} candidates, {} SAT checks, {} proven, {} refuted, {} budget-outs",
         stats.candidates, stats.sat_checks, stats.proven, stats.refuted, stats.unknown

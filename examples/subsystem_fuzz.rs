@@ -4,7 +4,7 @@
 
 use sbif::core::gatepoly::var_of;
 use sbif::core::rewrite::{BackwardRewriter, RewriteConfig};
-use sbif::core::sbif::{forward_information, EquivClasses, SbifConfig};
+use sbif::core::sbif::{forward_information, EquivClasses, SbifConfig, SbifOptions};
 use sbif::netlist::{Netlist, Sig};
 use sbif::poly::Poly;
 
@@ -133,6 +133,7 @@ fn test_sbif(rng: &mut Rng) {
         Some(constraint),
         &words,
         SbifConfig { window_depth: 3, ..SbifConfig::default() },
+        SbifOptions::default(),
     );
     // every class fact must hold on every satisfying input
     for &bits in &sat_inputs {

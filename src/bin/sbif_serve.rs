@@ -1,7 +1,7 @@
 //! `sbif-serve` — the verification job server CLI (DESIGN.md §15).
 //!
 //! ```text
-//! sbif-serve <socket> [--cache-dir DIR] [--jobs N] [--metrics-out FILE]
+//! sbif-serve <socket> [--cache-dir DIR] [--max-active N] [--metrics-out FILE]
 //! sbif-serve submit <socket> <json-request-line>
 //! sbif-serve stop <socket>
 //! ```
@@ -12,10 +12,9 @@
 //! protocol) until a `shutdown` request arrives. All jobs share one
 //! content-addressed result cache — in-memory by default, persisted
 //! under `--cache-dir DIR` so later daemons and `sbif-verify
-//! --cache-dir` runs reuse the verdicts. `--jobs N` sets the SBIF
-//! worker count for jobs that don't choose their own; `--metrics-out
-//! FILE` writes the daemon's final `serve.*`/`cache.*` counters as a
-//! canonical `sbif-metrics-v1` report at shutdown.
+//! --cache-dir` runs reuse the verdicts. `--metrics-out FILE` writes
+//! the daemon's final `serve.*`/`cache.*` counters as a canonical
+//! `sbif-metrics-v1` report at shutdown.
 //!
 //! `submit` is a one-shot client: it sends a single request line and
 //! prints every response line for it (including streamed `trace`
@@ -42,7 +41,7 @@ use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: sbif-serve <socket> [--cache-dir DIR] [--jobs N] [--max-active N]\n\
+        "usage: sbif-serve <socket> [--cache-dir DIR] [--max-active N]\n\
          \x20                [--metrics-out FILE]\n\
          \x20      sbif-serve submit <socket> <json-request-line>\n\
          \x20      sbif-serve stop <socket>"
@@ -69,7 +68,6 @@ fn main() -> ExitCode {
 fn daemon(args: &[String]) -> ExitCode {
     let mut socket: Option<PathBuf> = None;
     let mut cache_dir: Option<PathBuf> = None;
-    let mut jobs = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut max_active = ServeOptions::default().max_active;
     let mut metrics_out: Option<String> = None;
     let mut i = 0;
@@ -78,14 +76,6 @@ fn daemon(args: &[String]) -> ExitCode {
             "--cache-dir" => {
                 let Some(d) = args.get(i + 1) else { return usage() };
                 cache_dir = Some(PathBuf::from(d));
-                i += 2;
-            }
-            "--jobs" => {
-                let Some(j) = args.get(i + 1).and_then(|s| s.parse::<usize>().ok())
-                else {
-                    return usage();
-                };
-                jobs = j.max(1);
                 i += 2;
             }
             "--max-active" => {
@@ -112,12 +102,8 @@ fn daemon(args: &[String]) -> ExitCode {
     }
     let Some(socket) = socket else { return usage() };
 
-    let server = match Server::bind(&ServeOptions {
-        socket: socket.clone(),
-        cache_dir,
-        default_jobs: jobs,
-        max_active,
-    }) {
+    let opts = ServeOptions { socket: socket.clone(), cache_dir, max_active };
+    let server = match Server::bind(&opts) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("cannot bind {}: {e}", socket.display());
@@ -125,9 +111,8 @@ fn daemon(args: &[String]) -> ExitCode {
         }
     };
     println!(
-        "sbif-serve: listening on {} ({} default jobs, {} cache)",
+        "sbif-serve: listening on {} ({} cache)",
         socket.display(),
-        jobs,
         if server.cache_is_persistent() { "persistent" } else { "in-memory" }
     );
     let report = server.run();

@@ -2,7 +2,7 @@
 //! line.
 //!
 //! ```text
-//! sbif-verify <netlist> [--vc1-only] [--no-sbif] [--certify] [--max-terms N] [--jobs N]
+//! sbif-verify <netlist> [--vc1-only] [--no-sbif] [--certify] [--max-terms N]
 //!             [--cache-dir DIR] [--trace pretty|json] [--trace-out FILE]
 //!             [--metrics-out FILE] [--analysis-out FILE]
 //!             [--budget-conflicts N] [--budget-terms N] [--budget-nodes N]
@@ -15,7 +15,7 @@
 //! default), `restoring`, `srt` or `array`.
 //!
 //! The `--budget-*` flags attach the resource governor (DESIGN.md
-//! §16): `--budget-conflicts` caps the committed SBIF solver conflicts
+//! §16): `--budget-conflicts` caps the SBIF solver conflicts
 //! (exhaustion skips the remaining windows and continues with the
 //! classes found — sound, possibly slower downstream),
 //! `--budget-terms` caps backward-rewriting terms (exhaustion is an
@@ -23,7 +23,7 @@
 //! caps the vc2 BDD's live nodes (exhaustion falls back to a bounded
 //! SAT check of the range property, itself capped by `--budget-sat`).
 //! All of those are deterministic units — whether a budget trips is
-//! byte-identical for any `--jobs` value. `--timeout MS` arms a
+//! reproducible run to run. `--timeout MS` arms a
 //! wall-clock watchdog that only ever cancels; a cancelled run is
 //! reported inconclusive and never cached. A budget-limited run exits
 //! 0 with `VERDICT: inconclusive (…)` naming the exhausted stage.
@@ -42,7 +42,7 @@
 //!
 //! `--cache-dir DIR` attaches the content-addressed result cache
 //! (DESIGN.md §15): the design's canonical cone digests plus the flow
-//! configuration (with `--jobs` normalized away) form the key; a hit
+//! configuration form the key; a hit
 //! replays the stored verdict and the byte-identical `sbif-metrics-v1`
 //! stub of the original run without verifying anything, a miss proves
 //! and stores. The same cache directory is shared with `sbif-serve`
@@ -51,8 +51,8 @@
 //! `--trace pretty` prints the live phase tree (spans, wall times) to
 //! stderr; `--trace json` emits the NDJSON event stream instead
 //! (`--trace-out FILE` redirects either to a file). `--metrics-out FILE`
-//! writes the deterministic metrics report — byte-identical for any
-//! `--jobs` value — as canonical JSON (see DESIGN.md §12).
+//! writes the deterministic metrics report — byte-identical run to run —
+//! as canonical JSON (see DESIGN.md §12).
 //! `--analysis-out FILE` dumps the static-analysis database (ternary
 //! facts, structural-hash classes, cone mask, shadow signatures; see
 //! DESIGN.md §14) as canonical JSON.
@@ -80,7 +80,7 @@ use std::process::ExitCode;
 fn usage() -> ExitCode {
     eprintln!(
         "usage: sbif-verify <netlist(.bnet|.aag|.bench)> [--vc1-only] [--no-sbif] [--certify]\n\
-         \x20                [--max-terms N] [--jobs N] [--cache-dir DIR]\n\
+         \x20                [--max-terms N] [--cache-dir DIR]\n\
          \x20                [--trace pretty|json] [--trace-out FILE] [--metrics-out FILE]\n\
          \x20                [--analysis-out FILE] [--budget-conflicts N] [--budget-terms N]\n\
          \x20                [--budget-nodes N] [--budget-sat N] [--timeout MS]\n\
@@ -140,11 +140,8 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    // Load or generate the divider. The SBIF window checks fan out over
-    // all cores unless --jobs overrides it (results are identical either
-    // way; see the sbif::parallel docs).
+    // Load or generate the divider.
     let mut config = VerifierConfig::default();
-    config.sbif.jobs = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut divider: Option<Divider> = None;
     let mut demo: Option<usize> = None;
     let mut arch = String::from("nonrestoring");
@@ -218,14 +215,6 @@ fn main() -> ExitCode {
             "--certify" => {
                 config.certify = true;
                 i += 1;
-            }
-            "--jobs" => {
-                let Some(jobs) = args.get(i + 1).and_then(|s| s.parse::<usize>().ok())
-                else {
-                    return usage();
-                };
-                config.sbif.jobs = jobs.max(1);
-                i += 2;
             }
             "--trace" => {
                 let Some(mode) = args.get(i + 1) else { return usage() };

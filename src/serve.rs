@@ -16,7 +16,7 @@
 //! ```text
 //! {"op": "verify", "id": 1, "demo": 8}
 //! {"op": "verify", "id": 2, "format": "aag", "source": "aag 0 0 0 0 0\n",
-//!  "jobs": 4, "trace": true, "vc1_only": true, "certify": true, "max_terms": 1000000}
+//!  "trace": true, "vc1_only": true, "certify": true, "max_terms": 1000000}
 //! {"op": "ping"}
 //! {"op": "stats"}
 //! {"op": "shutdown"}
@@ -26,8 +26,8 @@
 //! carry a netlist as text (`bnet`, `aag` or `bench`), which is parsed,
 //! cone-of-influence restricted to its declared outputs
 //! ([`Netlist::restricted_to_outputs`]) and bound to the Definition-1
-//! divider interface. `jobs` sets the SBIF worker count for this job
-//! (verdicts and logical metrics are identical for any value).
+//! divider interface. Unknown fields are ignored (so is the `jobs`
+//! field older clients send: the SBIF scan is sequential).
 //!
 //! Responses — every job-scoped line carries the request's `id`:
 //!
@@ -71,14 +71,14 @@ use std::sync::{Arc, Mutex};
 /// The flow-configuration fingerprint bound into every cache key.
 ///
 /// Everything that can change a verdict or the deterministic metrics
-/// payload is included; the SBIF worker count is normalized away
-/// because the jobs-determinism contract (DESIGN.md §12) guarantees it
-/// changes neither — so runs at `--jobs 1` and `--jobs 4` share cache
-/// entries. The governor is normalized away too: a governed run that
-/// never trips a budget is byte-identical to the ungoverned run
-/// (budgets only act on overrun), `Proven`/`Refuted` are valid under
-/// any budget, and budget-relative `Inconclusive` entries carry the
-/// exact budget as a stamp checked at lookup (DESIGN.md §16).
+/// payload is included; [`SbifConfig::jobs`](sbif_core::sbif::SbifConfig::jobs)
+/// is normalized away because the engine never reads it — so configs
+/// that differ only there share cache entries. The governor is
+/// normalized away too: a governed run that never trips a budget is
+/// byte-identical to the ungoverned run (budgets only act on overrun),
+/// `Proven`/`Refuted` are valid under any budget, and budget-relative
+/// `Inconclusive` entries carry the exact budget as a stamp checked at
+/// lookup (DESIGN.md §16).
 pub fn flow_fingerprint(config: &VerifierConfig) -> String {
     let mut c = *config;
     c.sbif.jobs = 0;
@@ -250,8 +250,6 @@ pub struct ServeOptions {
     /// Persist the shared result cache here (`None` = in-memory only).
     /// Also hosts the crash-recovery job journal (`journal/`).
     pub cache_dir: Option<PathBuf>,
-    /// SBIF worker count for jobs that don't send `"jobs"`.
-    pub default_jobs: usize,
     /// Backpressure bound: at most this many verification jobs run at
     /// once; further `verify` requests are rejected with a `rejected`
     /// response carrying `retry_after_ms`. `0` means unbounded.
@@ -263,7 +261,6 @@ impl Default for ServeOptions {
         ServeOptions {
             socket: PathBuf::from("sbif-serve.sock"),
             cache_dir: None,
-            default_jobs: 1,
             max_active: 64,
         }
     }
@@ -329,7 +326,6 @@ struct Ctx {
     stats: Stats,
     stop: AtomicBool,
     socket: PathBuf,
-    default_jobs: usize,
     max_active: usize,
     active: AtomicU64,
     job_seq: AtomicU64,
@@ -407,7 +403,6 @@ impl Server {
                 stats: Stats::default(),
                 stop: AtomicBool::new(false),
                 socket: opts.socket.clone(),
-                default_jobs: opts.default_jobs.max(1),
                 max_active: opts.max_active,
                 active: AtomicU64::new(0),
                 job_seq: AtomicU64::new(0),
@@ -486,7 +481,7 @@ fn recover_journal(ctx: &Arc<Ctx>) {
                 ctx.stats.bump(&ctx.stats.jobs_recovered);
                 let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     let div = divider_of_request(&obj)?;
-                    let config = config_of_request(&obj, ctx);
+                    let config = config_of_request(&obj);
                     verify_cached(&div, config, Some(&ctx.cache), Recorder::new())
                 }));
                 match run {
@@ -641,20 +636,13 @@ fn error_line(job: Option<u64>, message: &str) -> String {
 }
 
 /// Builds the per-job [`VerifierConfig`] from the request's optional
-/// `jobs`/`vc1_only`/`certify`/`max_terms` fields plus the per-job
+/// `vc1_only`/`certify`/`max_terms` fields plus the per-job
 /// governor budgets `budget_conflicts` (SBIF SAT conflicts),
 /// `budget_terms` (rewrite terms), `budget_nodes` (vc2 BDD live
 /// nodes), `budget_sat` (vc2 SAT-fallback conflicts) and `timeout_ms`
 /// (wall-clock watchdog).
-fn config_of_request(
-    obj: &std::collections::BTreeMap<String, Value>,
-    ctx: &Ctx,
-) -> VerifierConfig {
+fn config_of_request(obj: &std::collections::BTreeMap<String, Value>) -> VerifierConfig {
     let mut config = VerifierConfig::default();
-    config.sbif.jobs = obj
-        .get("jobs")
-        .and_then(Value::as_u64)
-        .map_or(ctx.default_jobs, |j| (j as usize).max(1));
     if matches!(obj.get("vc1_only"), Some(Value::Bool(true))) {
         config.check_vc2 = false;
     }
@@ -704,7 +692,7 @@ fn handle_verify(
             return send(writer, &error_line(Some(id), &msg));
         }
     };
-    let config = config_of_request(obj, ctx);
+    let config = config_of_request(obj);
 
     let recorder = Recorder::new();
     if matches!(obj.get("trace"), Some(Value::Bool(true))) {
@@ -859,12 +847,7 @@ mod tests {
         let first = UnixListener::bind(&socket).unwrap();
         drop(first);
         assert!(socket.exists(), "dead daemon leaves its socket file");
-        let opts = ServeOptions {
-            socket: socket.clone(),
-            cache_dir: None,
-            default_jobs: 1,
-            max_active: 4,
-        };
+        let opts = ServeOptions { socket: socket.clone(), cache_dir: None, max_active: 4 };
         let server = Server::bind(&opts).expect("stale socket must be swept and rebound");
         // While that daemon is alive, a second bind must refuse.
         let err = Server::bind(&opts).map(|_| ()).unwrap_err();
@@ -887,12 +870,11 @@ mod tests {
         assert!(cold.correct && !cold.cached && cold.stored);
         assert!(cold.metrics_json.contains("sbif-metrics-v1"));
 
-        // Warm: same key even at a different jobs count; the stub is
-        // the stored bytes, and nothing is recorded (nothing ran).
-        let mut warm_cfg = VerifierConfig::default();
-        warm_cfg.sbif.jobs = 4;
+        // Warm: the stub is the stored bytes, and nothing is recorded
+        // (nothing ran).
         let rec = Recorder::new();
-        let warm = verify_cached(&div, warm_cfg, Some(&cache), rec.clone()).unwrap();
+        let warm =
+            verify_cached(&div, VerifierConfig::default(), Some(&cache), rec.clone()).unwrap();
         assert!(warm.correct && warm.cached && !warm.stored);
         assert_eq!(warm.metrics_json, cold.metrics_json);
         assert_eq!(rec.finish().counters.len(), 0);
@@ -917,13 +899,9 @@ mod tests {
     fn daemon_answers_ping_verify_stats_and_shuts_down() {
         let socket = std::env::temp_dir()
             .join(format!("sbif_serve_unit_{}.sock", std::process::id()));
-        let server = Server::bind(&ServeOptions {
-            socket: socket.clone(),
-            cache_dir: None,
-            default_jobs: 1,
-            max_active: 4,
-        })
-        .unwrap();
+        let server =
+            Server::bind(&ServeOptions { socket: socket.clone(), cache_dir: None, max_active: 4 })
+                .unwrap();
         let daemon = std::thread::spawn(move || server.run());
 
         let stream = UnixStream::connect(&socket).unwrap();
@@ -949,7 +927,10 @@ mod tests {
         let run1 = ask("{\"op\": \"verify\", \"id\": 7, \"demo\": 3}", &mut reader);
         assert_eq!(run1[0], "{\"job\": 7, \"ev\": \"accepted\"}");
         assert!(run1[1].contains("\"verdict\": \"correct\"") && run1[1].contains("\"cached\": false"));
-        let run2 = ask("{\"op\": \"verify\", \"id\": 8, \"demo\": 3}", &mut reader);
+        // Older clients still send `jobs`; it is ignored, so the job
+        // hits the entry the first one stored.
+        let req2 = "{\"op\": \"verify\", \"id\": 8, \"demo\": 3, \"jobs\": 4}";
+        let run2 = ask(req2, &mut reader);
         assert!(run2[1].contains("\"cached\": true"), "{run2:?}");
         let stats = ask("{\"op\": \"stats\"}", &mut reader);
         assert!(stats[0].contains("\"serve.jobs\": 2") && stats[0].contains("\"cache.hits\": 1"));

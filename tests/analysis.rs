@@ -11,7 +11,7 @@ use sbif::analysis::signature::signatures;
 use sbif::analysis::ternary::propagate;
 use sbif::analysis::{analyze, AnalysisConfig};
 use sbif::core::sbif::{
-    divider_sim_words, forward_information, forward_information_with, EquivClasses, SbifConfig,
+    divider_sim_words, forward_information, EquivClasses, SbifConfig, SbifOptions,
     SbifPrefilter,
 };
 use sbif::netlist::build::nonrestoring_divider;
@@ -117,41 +117,39 @@ fn reps(nl: &Netlist, classes: &EquivClasses) -> Vec<(Sig, bool)> {
 /// The acceptance bar of the framework: on a real divider the prefilter
 /// must solve strictly fewer windows while leaving the final classes —
 /// and every logical statistic — bit-identical to the prefilter-free
-/// run, for sequential and parallel schedules alike.
+/// run.
 #[test]
 fn prefilter_prunes_windows_and_preserves_classes() {
     let div = nonrestoring_divider(6);
     let sim = divider_sim_words(&div, 7, 4);
     let shadow_sim = divider_sim_words(&div, 99, 2);
-    for jobs in [1, 4] {
-        let cfg = SbifConfig { jobs, ..SbifConfig::default() };
-        let (base_classes, base) =
-            forward_information(&div.netlist, Some(div.constraint), &sim, cfg);
-        assert_eq!(base.windows_solved, base.sat_checks, "no prefilter, no gap");
+    let cfg = SbifConfig::default();
+    let (base_classes, base) =
+        forward_information(&div.netlist, Some(div.constraint), &sim, cfg, SbifOptions::default());
+    assert_eq!(base.windows_solved, base.sat_checks, "no prefilter, no gap");
 
-        let acfg = AnalysisConfig {
-            constraint: Some(div.constraint),
-            shadow_planes: Some(shadow_sim.clone()),
-            ..AnalysisConfig::default()
-        };
-        let db = analyze(&div.netlist, &acfg, &Recorder::new());
-        let pf =
-            SbifPrefilter { shadow: db.shadow, planes: db.shadow_planes, ..SbifPrefilter::default() };
-        let (classes, stats) =
-            forward_information_with(&div.netlist, Some(div.constraint), &sim, cfg, Some(&pf));
+    let acfg = AnalysisConfig {
+        constraint: Some(div.constraint),
+        shadow_planes: Some(shadow_sim),
+        ..AnalysisConfig::default()
+    };
+    let db = analyze(&div.netlist, &acfg, &Recorder::new());
+    let pf =
+        SbifPrefilter { shadow: db.shadow, planes: db.shadow_planes, ..SbifPrefilter::default() };
+    let opts = SbifOptions { prefilter: Some(&pf), ..SbifOptions::default() };
+    let (classes, stats) = forward_information(&div.netlist, Some(div.constraint), &sim, cfg, opts);
 
-        assert_eq!(reps(&div.netlist, &base_classes), reps(&div.netlist, &classes), "jobs={jobs}");
-        assert_eq!(base.proven, stats.proven);
-        assert_eq!(base.refuted, stats.refuted);
-        assert_eq!(base.unknown, stats.unknown);
-        assert_eq!(base.refinements, stats.refinements);
-        assert!(stats.prefilter_proven > 0, "{stats:?}");
-        assert!(stats.windows_solved < stats.sat_checks, "{stats:?}");
-        assert_eq!(
-            stats.windows_solved + stats.prefilter_proven + stats.prefilter_refuted,
-            stats.sat_checks
-        );
-    }
+    assert_eq!(reps(&div.netlist, &base_classes), reps(&div.netlist, &classes));
+    assert_eq!(base.proven, stats.proven);
+    assert_eq!(base.refuted, stats.refuted);
+    assert_eq!(base.unknown, stats.unknown);
+    assert_eq!(base.refinements, stats.refinements);
+    assert!(stats.prefilter_proven > 0, "{stats:?}");
+    assert!(stats.windows_solved < stats.sat_checks, "{stats:?}");
+    assert_eq!(
+        stats.windows_solved + stats.prefilter_proven + stats.prefilter_refuted,
+        stats.sat_checks
+    );
 }
 
 /// The shadow-signature path: stimulus that satisfies C but that the
@@ -169,7 +167,8 @@ fn shadow_signatures_refute_without_a_solver() {
     // The primary stimulus only ever drives a == b, so AND and OR look
     // identical and become candidates.
     let sim = vec![vec![0b01u64], vec![0b01u64]];
-    let (base_classes, base) = forward_information(&nl, None, &sim, SbifConfig::default());
+    let cfg = SbifConfig::default();
+    let (base_classes, base) = forward_information(&nl, None, &sim, cfg, SbifOptions::default());
     assert!(base.sat_checks > 0);
     assert_eq!(base.windows_solved, base.sat_checks);
     assert_eq!(base.proven, 0, "{base:?}");
@@ -177,8 +176,8 @@ fn shadow_signatures_refute_without_a_solver() {
     // Shadow planes include a != b: every pair is told apart up front.
     let planes = vec![vec![0b0011u64], vec![0b0101u64]];
     let pf = SbifPrefilter { shadow: signatures(&nl, &planes), planes, ..SbifPrefilter::default() };
-    let (classes, stats) =
-        forward_information_with(&nl, None, &sim, SbifConfig::default(), Some(&pf));
+    let opts = SbifOptions { prefilter: Some(&pf), ..SbifOptions::default() };
+    let (classes, stats) = forward_information(&nl, None, &sim, cfg, opts);
     assert!(stats.prefilter_refuted > 0, "{stats:?}");
     assert_eq!(stats.windows_solved, 0, "{stats:?}");
     assert_eq!(
@@ -202,14 +201,16 @@ fn live_mask_skips_dead_signals() {
     let dead = nl.push_gate(Gate::Binary(BinOp::And, b, a));
     nl.add_output("o", x);
     let sim = vec![vec![0x0123_4567_89AB_CDEFu64], vec![0xFEDC_BA98_7654_3210u64]];
-    let (_, base) = forward_information(&nl, None, &sim, SbifConfig::default());
+    let cfg = SbifConfig::default();
+    let (_, base) = forward_information(&nl, None, &sim, cfg, SbifOptions::default());
     assert_eq!(base.proven, 1, "dead duplicate merges without a mask: {base:?}");
 
     let db = analyze(&nl, &AnalysisConfig::default(), &Recorder::new());
     let mask = db.sbif_live_mask(&nl);
     assert!(!mask[dead.index()] && mask[x.index()]);
     let pf = SbifPrefilter { live: mask, ..SbifPrefilter::default() };
-    let (_, stats) = forward_information_with(&nl, None, &sim, SbifConfig::default(), Some(&pf));
+    let opts = SbifOptions { prefilter: Some(&pf), ..SbifOptions::default() };
+    let (_, stats) = forward_information(&nl, None, &sim, cfg, opts);
     assert_eq!(stats.proven, 0, "masked scan never reaches the dead gate: {stats:?}");
     assert!(stats.sat_checks < base.sat_checks, "{stats:?} vs {base:?}");
 }

@@ -3,11 +3,10 @@
 //!
 //! Three contracts:
 //!
-//! * **cold = warm, at every `--jobs`** — a warm hit replays the stored
-//!   verdict and `sbif-metrics-v1` stub byte for byte, and because the
-//!   cache key normalizes the worker count away, a run at `--jobs 4`
-//!   hits an entry stored at `--jobs 1` (the jobs-determinism contract
-//!   of DESIGN.md §12 is what makes that sound),
+//! * **cold = warm** — a warm hit replays the stored verdict and
+//!   `sbif-metrics-v1` stub byte for byte, and because the cache key
+//!   normalizes the inert `SbifConfig::jobs` field away, a config that
+//!   only differs there hits the same entry,
 //! * **dirty-cone accounting** — a single mutated gate misses the
 //!   design key, and [`sbif::cache::Lookup`] reports exactly the cones
 //!   whose canonical digest the edit changed as cold, the rest as
@@ -43,20 +42,20 @@ fn cold_and_warm_verdicts_and_metrics_agree_at_jobs_1_and_4() {
     let div = nonrestoring_divider(4);
     let cache = ResultCache::in_memory();
 
-    // Cold at --jobs 1: proves and stores.
+    // Cold: proves and stores.
     let cold = verify_cached(&div, config_with_jobs(1), Some(&cache), Recorder::new())
         .expect("cold run");
     assert!(cold.correct && !cold.cached && cold.stored);
 
-    // A no-cache reference at --jobs 4: the logical sbif.* counters are
-    // byte-identical to the jobs-1 payload — the determinism contract
-    // the shared cache key rests on.
-    let reference = verify_cached(&div, config_with_jobs(4), None, Recorder::new())
+    // A no-cache reference run: its payload is byte-identical to the
+    // stored one — the determinism the cache rests on.
+    let reference = verify_cached(&div, config_with_jobs(1), None, Recorder::new())
         .expect("reference run");
     assert_eq!(reference.metrics_json, cold.metrics_json);
 
-    // Warm at --jobs 1 and 4: both hit the same entry and replay the
-    // stub byte for byte; the recorder stays silent (nothing ran).
+    // Warm, with and without the inert `jobs` field set: both hit the
+    // same entry and replay the stub byte for byte; the recorder stays
+    // silent (nothing ran).
     for jobs in [1, 4] {
         let rec = Recorder::new();
         let warm = verify_cached(&div, config_with_jobs(jobs), Some(&cache), rec.clone())
@@ -117,10 +116,10 @@ fn cache_dir_cli_is_byte_identical_cold_and_warm() {
         .expect("emit runs");
     assert!(emit.status.success());
 
-    let run = |jobs: &str, metrics: &PathBuf| {
+    let run = |metrics: &PathBuf| {
         let out = Command::new(env!("CARGO_BIN_EXE_sbif-verify"))
             .arg(&netlist)
-            .args(["--jobs", jobs, "--cache-dir", cache_dir.to_str().unwrap()])
+            .args(["--cache-dir", cache_dir.to_str().unwrap()])
             .args(["--metrics-out", metrics.to_str().unwrap()])
             .output()
             .expect("verify runs");
@@ -130,12 +129,11 @@ fn cache_dir_cli_is_byte_identical_cold_and_warm() {
 
     let cold_metrics = dir.join("cold.json");
     let warm_metrics = dir.join("warm.json");
-    let cold_out = run("1", &cold_metrics);
+    let cold_out = run(&cold_metrics);
     assert!(cold_out.contains("VERDICT: correct"), "{cold_out}");
     assert!(!cold_out.contains("(cached)"), "{cold_out}");
 
-    // Warm at a *different* jobs count still hits (key normalizes jobs).
-    let warm_out = run("4", &warm_metrics);
+    let warm_out = run(&warm_metrics);
     assert!(warm_out.contains("VERDICT: correct (cached)"), "{warm_out}");
 
     let cold_bytes = std::fs::read(&cold_metrics).unwrap();

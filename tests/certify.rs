@@ -6,7 +6,7 @@ mod common;
 use common::prop_check;
 
 use sbif::check::{certify_unsat, CertStats, DratStep};
-use sbif::core::sbif::{divider_sim_words, forward_information, SbifConfig};
+use sbif::core::sbif::{divider_sim_words, forward_information, SbifConfig, SbifOptions};
 use sbif::core::verify::{DividerVerifier, Vc1Outcome, VerifierConfig};
 use sbif::netlist::build::nonrestoring_divider;
 use sbif::sat::{Lit, SolveResult, Solver};
@@ -154,15 +154,20 @@ fn sbif_certificates_identical_across_jobs() {
     let mut stats_by_jobs: Vec<CertStats> = Vec::new();
     for jobs in [1usize, 4] {
         let cfg = SbifConfig { certify: true, jobs, ..SbifConfig::default() };
-        let (_, stats) =
-            forward_information(&div.netlist, Some(div.constraint), &sim, cfg);
+        let (_, stats) = forward_information(
+            &div.netlist,
+            Some(div.constraint),
+            &sim,
+            cfg,
+            SbifOptions::default(),
+        );
         assert_eq!(stats.cert.checked as usize, stats.proven);
         assert_eq!(stats.cert.rejected, 0);
         stats_by_jobs.push(stats.cert);
     }
     assert_eq!(
         stats_by_jobs[0], stats_by_jobs[1],
-        "certificate statistics must not depend on the worker count"
+        "certificate statistics must not depend on the jobs field"
     );
 }
 

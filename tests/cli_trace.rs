@@ -28,7 +28,8 @@ fn bad_arguments_exit_2_with_diagnostics() {
     let cases: &[(&[&str], &str)] = &[
         (&["--trace", "xml", "--demo", "3"], "--trace wants"),
         (&["--trace"], "usage:"),
-        (&["--jobs", "many", "--demo", "3"], "usage:"),
+        // The SBIF scan is sequential; the old `--jobs` flag is gone.
+        (&["--jobs", "2", "--demo", "3"], "usage:"),
         (&["--demo", "1"], "at least 2 bits"),
         (&["/nonexistent/divider.bnet"], "cannot read"),
         (&["--metrics-out"], "usage:"),
@@ -44,14 +45,14 @@ fn bad_arguments_exit_2_with_diagnostics() {
 #[test]
 fn trace_json_stream_and_metrics_are_checkable_and_deterministic() {
     let ndjson = tmp("events.ndjson");
-    let metrics1 = tmp("metrics_j1.json");
-    let metrics4 = tmp("metrics_j4.json");
+    let traced = tmp("metrics_traced.json");
+    let untraced = tmp("metrics_untraced.json");
 
     let out = sbif_verify(&[
-        "--demo", "4", "--jobs", "1",
+        "--demo", "4",
         "--trace", "json",
         "--trace-out", ndjson.to_str().unwrap(),
-        "--metrics-out", metrics1.to_str().unwrap(),
+        "--metrics-out", traced.to_str().unwrap(),
     ]);
     assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
 
@@ -61,18 +62,16 @@ fn trace_json_stream_and_metrics_are_checkable_and_deterministic() {
     let summary = String::from_utf8_lossy(&check.stdout);
     assert!(summary.contains("ok —"), "{summary}");
 
-    // ...and the metrics report is canonical and jobs-independent.
-    let out = sbif_verify(&[
-        "--demo", "4", "--jobs", "4",
-        "--metrics-out", metrics4.to_str().unwrap(),
-    ]);
+    // ...and the metrics report is canonical and does not depend on
+    // whether the run was traced.
+    let out = sbif_verify(&["--demo", "4", "--metrics-out", untraced.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(0));
-    let j1 = std::fs::read_to_string(&metrics1).expect("metrics written");
-    let j4 = std::fs::read_to_string(&metrics4).expect("metrics written");
-    assert!(j1.starts_with("{\n  \"schema\": \"sbif-metrics-v1\""), "{j1}");
-    assert_eq!(j1, j4, "metrics must be byte-identical across --jobs");
+    let with_trace = std::fs::read_to_string(&traced).expect("metrics written");
+    let without = std::fs::read_to_string(&untraced).expect("metrics written");
+    assert!(with_trace.starts_with("{\n  \"schema\": \"sbif-metrics-v1\""), "{with_trace}");
+    assert_eq!(with_trace, without, "tracing must not change the metrics");
 
-    for p in [&ndjson, &metrics1, &metrics4] {
+    for p in [&ndjson, &traced, &untraced] {
         let _ = std::fs::remove_file(p);
     }
 }

@@ -7,9 +7,10 @@
 //!   a hard abort, and the fallback ladder (SBIF skip → rewrite
 //!   inconclusive → vc2 SAT) recovers what it can.
 //! * **Determinism** — deterministic budgets (conflicts, terms, live
-//!   nodes) are accounted commit-side, so the verdict, the
-//!   `exhausted_at` attribution and every `govern.*` counter are
-//!   byte-identical for any `--jobs` value.
+//!   nodes) are polled at fixed points of each stage, so the verdict,
+//!   the `exhausted_at` attribution and every `govern.*` counter are
+//!   byte-identical run to run (and whatever the inert `jobs` field
+//!   says).
 
 use sbif::core::verify::{DividerVerifier, Vc1Outcome, VerifierConfig};
 use sbif::govern::{Resource, Verdict};
@@ -40,14 +41,14 @@ fn starved_budgets_yield_inconclusive_not_abort_and_jobs_dont_matter() {
     let (v4, m4) = run(&div, config);
 
     // Identical Inconclusive verdicts — including the exhausted stage,
-    // resource and spent amount — at any worker count.
+    // resource and spent amount.
     assert_eq!(v1, v4);
     let Verdict::Inconclusive { exhausted_at } = v1 else {
         panic!("expected Inconclusive, got {v1:?}");
     };
     assert!(exhausted_at.deterministic());
     // Byte-identical metrics, govern.* counters included.
-    assert_eq!(m1, m4, "metrics must not depend on the worker count");
+    assert_eq!(m1, m4, "metrics must not depend on the jobs field");
     assert!(m1.contains("govern."), "exhaustion must be recorded: {m1}");
 }
 

@@ -1,6 +1,6 @@
 //! Properties of SAT Based Information Forwarding (Alg. 1).
 
-use sbif::core::sbif::{divider_sim_words, forward_information, SbifConfig};
+use sbif::core::sbif::{divider_sim_words, forward_information, SbifConfig, SbifOptions};
 use sbif::netlist::build::nonrestoring_divider;
 
 #[test]
@@ -14,6 +14,7 @@ fn key_antivalences_found_across_sizes() {
             Some(div.constraint),
             &sim,
             SbifConfig::default(),
+            SbifOptions::default(),
         );
         assert!(stats.proven > 0, "n={n}");
         for (j, &sign) in div.stage_signs.iter().enumerate() {
@@ -40,6 +41,7 @@ fn equiv_counts_grow_with_width() {
                 Some(div.constraint),
                 &sim,
                 SbifConfig::default(),
+                SbifOptions::default(),
             );
             stats.proven
         })
@@ -57,6 +59,7 @@ fn representatives_are_topologically_minimal() {
         Some(div.constraint),
         &sim,
         SbifConfig::default(),
+        SbifOptions::default(),
     );
     for (rep, members) in classes.classes() {
         for (m, _) in members {
@@ -77,6 +80,7 @@ fn all_claims_hold_exhaustively() {
         Some(div.constraint),
         &sim,
         SbifConfig::default(),
+        SbifOptions::default(),
     );
     for d in 1u64..(1 << (n - 1)) {
         for r0 in 0..(d << (n - 1)) {
@@ -116,8 +120,13 @@ fn window_depth_controls_power() {
     let mut last = 0;
     for depth in [0usize, 2, 4] {
         let cfg = SbifConfig { window_depth: depth, ..SbifConfig::default() };
-        let (_, stats) =
-            forward_information(&div.netlist, Some(div.constraint), &sim, cfg);
+        let (_, stats) = forward_information(
+            &div.netlist,
+            Some(div.constraint),
+            &sim,
+            cfg,
+            SbifOptions::default(),
+        );
         assert!(
             stats.proven >= last,
             "depth {depth}: proven {} < previous {last}",
@@ -137,12 +146,14 @@ fn more_simulation_means_fewer_false_candidates() {
         Some(div.constraint),
         &few,
         SbifConfig::default(),
+        SbifOptions::default(),
     );
     let (_, s_many) = forward_information(
         &div.netlist,
         Some(div.constraint),
         &many,
         SbifConfig::default(),
+        SbifOptions::default(),
     );
     // With 4× the patterns, fewer (or equal) candidates get refuted by
     // SAT — simulation already filtered them.

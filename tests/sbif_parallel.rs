@@ -1,85 +1,12 @@
-//! The parallel SBIF engine: `--jobs N` must be a pure performance knob.
+//! Soundness and counterexample pruning of the SBIF scan.
 //!
-//! The speculative worker / deterministic-commit design (see
-//! `crates/core/src/sbif/parallel.rs`) promises classes and logical
-//! statistics that are bit-identical to the sequential pass, sound
-//! merges, and counterexample-driven candidate pruning. Each promise is
-//! checked here.
+//! The sequential level-major scan (see `crates/core/src/sbif/scan.rs`)
+//! promises sound merges and counterexample-driven candidate pruning.
+//! Each promise is checked here.
 
-use sbif::core::sbif::{divider_sim_words, forward_information, SbifConfig, SbifStats};
-use sbif::netlist::build::{
-    array_divider, nonrestoring_divider, restoring_divider, srt_divider, Divider,
-};
+use sbif::core::sbif::{divider_sim_words, forward_information, SbifConfig, SbifOptions};
+use sbif::netlist::build::nonrestoring_divider;
 use sbif::netlist::Netlist;
-
-fn jobs_cfg(jobs: usize) -> SbifConfig {
-    SbifConfig { jobs, ..SbifConfig::default() }
-}
-
-/// The logical (scheduling-independent) part of the statistics. Under
-/// the level-barrier engine this includes every speculation counter:
-/// the lane schedule is a pure function of the netlist and the
-/// configuration, so even wasted work is jobs-invariant.
-#[allow(clippy::type_complexity)]
-fn logical(s: &SbifStats) -> (usize, usize, usize, usize, usize, usize, usize, usize, usize, usize)
-{
-    (
-        s.candidates,
-        s.sat_checks,
-        s.proven,
-        s.refuted,
-        s.unknown,
-        s.refinements,
-        s.spec_attempts,
-        s.spec_hits,
-        s.solver_inits,
-        s.batch_checks,
-    )
-}
-
-fn assert_parallel_matches_sequential(div: &Divider, label: &str) {
-    let sim = divider_sim_words(div, 23, 2);
-    let (seq, seq_stats) =
-        forward_information(&div.netlist, Some(div.constraint), &sim, jobs_cfg(1));
-    let (par, par_stats) =
-        forward_information(&div.netlist, Some(div.constraint), &sim, jobs_cfg(8));
-    for s in div.netlist.signals() {
-        assert_eq!(seq.rep(s), par.rep(s), "{label}: classes diverge at {s}");
-    }
-    assert_eq!(
-        logical(&seq_stats),
-        logical(&par_stats),
-        "{label}: logical statistics diverge"
-    );
-    // `jobs: 1` runs the identical lane schedule, so even the wasted
-    // speculative work matches — and nearly all speculation commits.
-    assert_eq!(
-        seq_stats.wasted_checks, par_stats.wasted_checks,
-        "{label}: wasted speculation must be jobs-invariant"
-    );
-    assert!(
-        seq_stats.spec_hits * 2 > seq_stats.spec_attempts,
-        "{label}: level-barrier speculation must mostly commit ({} of {})",
-        seq_stats.spec_hits,
-        seq_stats.spec_attempts
-    );
-}
-
-#[test]
-fn parallel_classes_identical_to_sequential_nonrestoring() {
-    for n in 4..=10 {
-        assert_parallel_matches_sequential(&nonrestoring_divider(n), &format!("nonrestoring {n}"));
-    }
-}
-
-#[test]
-fn parallel_classes_identical_on_all_architectures() {
-    for n in [4usize, 5, 6] {
-        assert_parallel_matches_sequential(&restoring_divider(n), &format!("restoring {n}"));
-        assert_parallel_matches_sequential(&array_divider(n), &format!("array {n}"));
-        assert_parallel_matches_sequential(&srt_divider(n), &format!("srt {n}"));
-    }
-}
 
 /// Every merged pair must hold on *every* input satisfying C — checked
 /// by exhaustive 64-lane simulation.
@@ -88,8 +15,13 @@ fn parallel_merges_are_sound_under_constraint() {
     for n in [4usize, 6, 8] {
         let div = nonrestoring_divider(n);
         let sim = divider_sim_words(&div, 7, 2);
-        let (classes, stats) =
-            forward_information(&div.netlist, Some(div.constraint), &sim, jobs_cfg(8));
+        let (classes, stats) = forward_information(
+            &div.netlist,
+            Some(div.constraint),
+            &sim,
+            SbifConfig::default(),
+            SbifOptions::default(),
+        );
         assert!(stats.proven > 0, "n={n}");
         // Enumerate all valid (r0, d) pairs, 64 per simulation word.
         let pairs: Vec<(u64, u64)> = (1..1u64 << (n - 1))
@@ -153,8 +85,9 @@ fn counterexamples_prune_spurious_candidates() {
 
     let eager = SbifConfig { cex_flush: 1, ..SbifConfig::default() };
     let lazy = SbifConfig { cex_flush: usize::MAX, ..SbifConfig::default() };
-    let (refined, refined_stats) = forward_information(&nl, None, &sim, eager);
-    let (stale, stale_stats) = forward_information(&nl, None, &sim, lazy);
+    let opts = SbifOptions::default();
+    let (refined, refined_stats) = forward_information(&nl, None, &sim, eager, opts);
+    let (stale, stale_stats) = forward_information(&nl, None, &sim, lazy, opts);
 
     assert!(refined_stats.refinements > 0, "the SAT models must trigger refinement");
     assert_eq!(stale_stats.refinements, 0);

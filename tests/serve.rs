@@ -93,6 +93,7 @@ fn run_job(socket: &PathBuf, id: u64, demo: usize) -> (String, bool, String, Str
     let stream = UnixStream::connect(socket).expect("connects");
     let mut reader = BufReader::new(stream.try_clone().expect("clones"));
     let mut writer = stream;
+    // `jobs` is a field older clients send; the daemon ignores it.
     writeln!(
         writer,
         "{{\"op\": \"verify\", \"id\": {id}, \"demo\": {demo}, \"jobs\": 2, \"trace\": true}}"
@@ -133,7 +134,7 @@ fn run_job(socket: &PathBuf, id: u64, demo: usize) -> (String, bool, String, Str
 fn four_concurrent_jobs_stream_valid_traces_and_match_sbif_verify() {
     let dir = tmpdir("jobs");
     let socket = dir.join("serve.sock");
-    let daemon = Daemon::spawn(socket.clone(), &["--jobs", "2"]);
+    let daemon = Daemon::spawn(socket.clone(), &[]);
 
     // Two distinct widths, each submitted twice: the duplicates
     // exercise the shared cache under concurrency (whichever of the
@@ -155,7 +156,7 @@ fn four_concurrent_jobs_stream_valid_traces_and_match_sbif_verify() {
         assert_eq!(verdict, "correct", "demo {demo}");
         let metrics_file = dir.join(format!("direct_{demo}.json"));
         let out = Command::new(env!("CARGO_BIN_EXE_sbif-verify"))
-            .args(["--demo", &demo.to_string(), "--jobs", "1"])
+            .args(["--demo", &demo.to_string()])
             .args(["--metrics-out", metrics_file.to_str().unwrap()])
             .output()
             .expect("sbif-verify runs");
@@ -300,8 +301,7 @@ fn sigkilled_daemon_restarts_on_the_same_socket_and_recovers_the_journal() {
     let socket = dir.join("serve.sock");
     let cache = dir.join("cache");
     let cache_arg = cache.to_str().unwrap().to_string();
-    let mut daemon =
-        Daemon::spawn(socket.clone(), &["--cache-dir", &cache_arg, "--jobs", "1"]);
+    let mut daemon = Daemon::spawn(socket.clone(), &["--cache-dir", &cache_arg]);
 
     // Start a job big enough to still be in flight, wait for the
     // accepted line (the journal entry is written right after it), then
@@ -330,7 +330,7 @@ fn sigkilled_daemon_restarts_on_the_same_socket_and_recovers_the_journal() {
     // Restart on the same socket: the stale file is swept (nobody
     // answers the probe), the journal is recovered — re-running the
     // job feeds the shared cache — and the journal is drained.
-    let daemon2 = Daemon::spawn(socket.clone(), &["--cache-dir", &cache_arg, "--jobs", "1"]);
+    let daemon2 = Daemon::spawn(socket.clone(), &["--cache-dir", &cache_arg]);
     let stats = transact(&socket, "{\"op\": \"stats\"}");
     assert!(stats[0].contains("\"serve.jobs_recovered\": 1"), "{}", stats[0]);
     assert_eq!(std::fs::read_dir(&journal).unwrap().count(), 0, "journal must drain");

@@ -44,7 +44,6 @@ impl SharedBuf {
 struct PipelineCase {
     n: usize,
     srt: bool,
-    jobs: usize,
     use_sbif: bool,
     check_vc2: bool,
     certify: bool,
@@ -58,7 +57,6 @@ fn random_case(rng: &mut XorShift64) -> PipelineCase {
     PipelineCase {
         n,
         srt,
-        jobs: 1 + rng.below(4) as usize,
         use_sbif: rng.below(4) != 0,
         check_vc2: rng.below(2) == 0,
         certify: rng.below(3) == 0,
@@ -69,11 +67,12 @@ fn random_case(rng: &mut XorShift64) -> PipelineCase {
 /// returns the captured stream.
 fn traced_run(case: &PipelineCase) -> String {
     let div = if case.srt { srt_divider(case.n) } else { nonrestoring_divider(case.n) };
-    let mut cfg = VerifierConfig::default();
-    cfg.sbif.jobs = case.jobs;
-    cfg.use_sbif = case.use_sbif;
-    cfg.check_vc2 = case.check_vc2;
-    cfg.certify = case.certify;
+    let cfg = VerifierConfig {
+        use_sbif: case.use_sbif,
+        check_vc2: case.check_vc2,
+        certify: case.certify,
+        ..VerifierConfig::default()
+    };
     let buf = SharedBuf::default();
     let rec = Recorder::new();
     rec.attach(Box::new(NdjsonSink::new(buf.clone())));

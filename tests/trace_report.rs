@@ -1,10 +1,9 @@
 //! Golden snapshots of the deterministic metrics report (DESIGN.md §12).
 //!
 //! The whole point of the `sbif-trace` payload is that two runs doing
-//! the same logical work emit the same bytes — on any machine, with any
-//! `--jobs` value. These tests pin that contract: each scenario's
-//! [`MetricsReport`] JSON is byte-compared against a checked-in golden
-//! file at `tests/golden/`, at `jobs = 1` *and* `jobs = 4`.
+//! the same logical work emit the same bytes — on any machine. These
+//! tests pin that contract: each scenario's [`MetricsReport`] JSON is
+//! byte-compared against a checked-in golden file at `tests/golden/`.
 //!
 //! When an intentional pipeline change shifts the numbers, regenerate
 //! with `SBIF_UPDATE_GOLDEN=1 cargo test --test trace_report` and review
@@ -19,10 +18,8 @@ use std::path::PathBuf;
 
 /// Runs the full pipeline on `div` and returns the canonical metrics
 /// JSON.
-fn metrics_json(div: &Divider, jobs: usize, certify: bool) -> String {
-    let mut cfg = VerifierConfig::default();
-    cfg.sbif.jobs = jobs;
-    cfg.certify = certify;
+fn metrics_json(div: &Divider, certify: bool) -> String {
+    let cfg = VerifierConfig { certify, ..VerifierConfig::default() };
     let report = DividerVerifier::new(div)
         .with_config(cfg)
         .with_recorder(Recorder::new())
@@ -39,29 +36,22 @@ fn golden_path(name: &str) -> PathBuf {
 }
 
 /// Byte-compares the scenario against its golden file (or rewrites the
-/// file under `SBIF_UPDATE_GOLDEN=1`), then re-runs at `jobs = 4` and
-/// demands the identical bytes.
+/// file under `SBIF_UPDATE_GOLDEN=1`).
 fn check_scenario(name: &str, div: &Divider, certify: bool) {
-    let sequential = metrics_json(div, 1, certify);
+    let current = metrics_json(div, certify);
     let path = golden_path(name);
     if std::env::var_os("SBIF_UPDATE_GOLDEN").is_some() {
-        std::fs::write(&path, &sequential).expect("write golden");
+        std::fs::write(&path, &current).expect("write golden");
     } else {
         let golden = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("{}: {e} (regenerate with SBIF_UPDATE_GOLDEN=1)", path.display()));
         assert!(
-            golden == sequential,
-            "{name}: metrics drifted from {}\n--- golden ---\n{golden}\n--- current ---\n{sequential}\n\
+            golden == current,
+            "{name}: metrics drifted from {}\n--- golden ---\n{golden}\n--- current ---\n{current}\n\
              (intentional change? SBIF_UPDATE_GOLDEN=1 cargo test --test trace_report)",
             path.display()
         );
     }
-    // The determinism contract: a parallel run commits the same payload.
-    let parallel = metrics_json(div, 4, certify);
-    assert!(
-        parallel == sequential,
-        "{name}: jobs=4 diverged from jobs=1\n--- jobs=1 ---\n{sequential}\n--- jobs=4 ---\n{parallel}"
-    );
 }
 
 #[test]
@@ -99,10 +89,7 @@ fn report_embeds_the_headline_columns() {
     // Sanity independent of golden bytes: the report carries the
     // paper's own evaluation axes for a verified divider.
     let div = nonrestoring_divider(4);
-    let mut cfg = VerifierConfig::default();
-    cfg.sbif.jobs = 2;
     let report = DividerVerifier::new(&div)
-        .with_config(cfg)
         .with_recorder(Recorder::new())
         .verify()
         .expect("verifies");
